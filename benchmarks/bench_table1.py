@@ -20,11 +20,7 @@ OVERRIDES = {
 
 
 def test_table1(benchmark):
-    jobs = scheduler_jobs()
-    if jobs > 1:
-        report = parallel_suite(OVERRIDES, jobs=jobs)
-    else:
-        report = run_suite(overrides=OVERRIDES)
+    report = parallel_suite(OVERRIDES, jobs=scheduler_jobs())
     lines = [report.render(), ""]
     lines.append("per-benchmark detail:")
     lines.extend(f"  {r}" for r in report.results)

@@ -35,12 +35,12 @@ Exit codes: ``doctor`` and ``sanitize`` exit 1 when any critical
 finding is reported, ``prof diff`` exits 1 when a metric regresses
 beyond its threshold (or a ``--claims`` claim fails), ``check`` exits 1
 when any conformance check fails; every command exits 2 on a runtime
-error and 0 otherwise.  Supervised runs (``run``/``sweep``/``table1``/
-``check`` with ``--jobs`` or any resilience flag) add two more: 3 when
-the run completed only through a degradation fallback (fast backend
-re-run on the reference oracle, or the worker pool dropping to serial),
-and 4 when the run was interrupted (SIGINT/SIGTERM) with the completed
-work checkpointed to the run journal — finish it with ``--resume``.
+error and 0 otherwise.  Supervised runs (``run``/``sweep``/``table1``
+always, ``check`` with a resilience flag) add two more: 3 when the run
+completed only through a degradation fallback (fast backend re-run on
+the reference oracle, or the worker pool dropping to serial), and 4
+when the run was interrupted (SIGINT/SIGTERM) with the completed work
+checkpointed to the run journal — finish it with ``--resume``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.arch.presets import get_system, list_gpus
 from repro.common.errors import ReproError
 from repro.common.tables import render_table
 from repro.core.registry import ALL_BENCHMARKS, get_benchmark, list_benchmarks
-from repro.core.suite import run_suite
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Any]:
@@ -76,16 +75,10 @@ def _parse_params(pairs: list[str]) -> dict[str, Any]:
     return out
 
 
-def _backend_scope(args: argparse.Namespace):
-    """Context manager applying ``--backend`` to runtimes created inside."""
-    from contextlib import nullcontext
-
-    backend = getattr(args, "backend", None)
-    if backend:
-        from repro.exec import use_backend
-
-        return use_backend(backend)
-    return nullcontext()
+def _resolve_benchmark(args: argparse.Namespace) -> None:
+    """Validate ``--system`` and the benchmark name before anything runs,
+    so a typo is a plain error rather than a retried, quarantined job."""
+    get_benchmark(args.benchmark, get_system(args.system) if args.system else None)
 
 
 def _make_cache(args: argparse.Namespace):
@@ -95,7 +88,7 @@ def _make_cache(args: argparse.Namespace):
 
 
 def _resilience_requested(args: argparse.Namespace) -> bool:
-    """Did any flag explicitly ask for the supervised scheduler?"""
+    """Did any flag explicitly ask ``check`` for the supervised scheduler?"""
     return any(
         getattr(args, name, None) is not None
         for name in ("max_retries", "job_timeout", "resume", "run_id", "chaos")
@@ -153,17 +146,6 @@ def _make_fleet(args: argparse.Namespace, *, command: str):
         chaos=parse_chaos(args.chaos) if getattr(args, "chaos", None) else None,
         **kwargs,
     )
-
-
-def _fleet_resilience(fleet):
-    """A resilience shim sharing the fleet's telemetry, so the stats
-    sidecar, degradation exit code, and execution section all read the
-    fleet run without a parallel code path."""
-    from repro.resilience import ResilienceConfig
-
-    shim = ResilienceConfig()
-    shim.telemetry = fleet.telemetry
-    return shim
 
 
 def _make_resilience(args: argparse.Namespace, *, command: str):
@@ -249,31 +231,6 @@ def _interrupted(resilience, fleet=None) -> int:
     return 4
 
 
-def _resume_noop(args: argparse.Namespace, resilience) -> bool:
-    """Was ``--resume`` pointed at an already-complete run?
-
-    Nothing executed, nothing quarantined, every job replayed from the
-    journal — so the run's artifacts were already written by the run
-    that completed it and must not be re-written here.
-    """
-    if getattr(args, "resume", None) is None or resilience is None:
-        return False
-    tele = resilience.telemetry
-    return (
-        tele.completed == 0
-        and tele.resume_skips > 0
-        and not tele.quarantined
-    )
-
-
-def _print_resume_noop(args: argparse.Namespace, resilience) -> None:
-    tele = resilience.telemetry
-    print(
-        f"nothing to do: run {args.resume} already complete "
-        f"({tele.resume_skips} job(s) journaled); artifacts unchanged"
-    )
-
-
 def _sched_status(status: int, resilience) -> int:
     """Map a command's natural exit through the degradation ladder.
 
@@ -287,191 +244,6 @@ def _sched_status(status: int, resilience) -> int:
         if status == 0 and resilience.telemetry.degraded:
             return 3
     return status
-
-
-def _execution_section(resilience) -> dict[str, Any]:
-    """The result document's ``execution`` section.
-
-    Present only when the run degraded, so clean documents stay
-    byte-identical across serial/parallel/cold/warm/resumed runs while
-    a fallback (the one case where the configuration asked for was not
-    what actually ran) is recorded next to the results it produced.
-    """
-    if resilience is None or not resilience.telemetry.fallbacks:
-        return {}
-    tele = resilience.telemetry
-    return {
-        "execution": {"mode": tele.mode, "fallbacks": list(tele.fallbacks)}
-    }
-
-
-def _write_sched_stats(
-    args: argparse.Namespace, cache, *, benchmark: str, jobs: int,
-    resilience=None,
-) -> None:
-    """Write the ``--stats`` sidecar: backend, cache, and supervision
-    counters.
-
-    Kept separate from ``--out`` so result documents stay byte-identical
-    across cold/warm and serial/parallel runs while the scheduler's
-    behaviour remains observable.
-    """
-    if not getattr(args, "stats", None):
-        return
-    import json
-
-    from repro.exec import current_backend_name
-
-    backend = current_backend_name(getattr(args, "backend", None))
-    doc = {
-        "schema": "repro-prof-sched/1",
-        "benchmark": benchmark,
-        "backend": backend,
-        "jobs": jobs,
-        "cache": cache.stats() if cache is not None else None,
-    }
-    if backend == "jit":
-        from repro.jit import jit_stats
-
-        # artifact-store counters (trace reuse), next to the result cache
-        doc["jit"] = jit_stats()
-    if resilience is not None:
-        doc["execution"] = resilience.telemetry.as_dict()
-    path = Path(args.stats)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"scheduler stats written to {path}")
-
-
-def _pool_flight_dumps(args: argparse.Namespace, resilience) -> int | None:
-    """How many flight-recorder dumps this journaled pool run left."""
-    if resilience is None or resilience.journal is None:
-        return None
-    from repro.obs import list_flight_dumps
-
-    return len(list_flight_dumps(
-        Path(args.journal_dir) / "flightrec" / resilience.journal.run_id
-    ))
-
-
-def _metrics_snapshot(
-    args: argparse.Namespace, *, command: str, fleet=None, resilience=None,
-    cache=None, jobs_total: int | None = None,
-):
-    """The sample-set callable behind ``--metrics``/``--metrics-port``.
-
-    Fleet runs scan the shared coordination directory read-only — safe
-    to call from any process at any time, and incapable of perturbing
-    the run's byte-identical merge.  Pool runs read the in-process
-    scheduler telemetry, which the parent updates as results arrive.
-    """
-    from repro.obs import fleet_samples, telemetry_samples
-
-    if fleet is not None:
-        from repro.resilience.fleet import fleet_dir
-
-        run_dir = fleet_dir(args.journal_dir, fleet.run_id)
-
-        def snap():
-            try:
-                return fleet_samples(
-                    run_dir, run_id=fleet.run_id, command=command
-                )
-            except ReproError:
-                # scraped before the workers created the run directory:
-                # serve the still-zero telemetry instead of a 500
-                return telemetry_samples(
-                    fleet.telemetry, run_id=fleet.run_id, command=command
-                )
-
-        return snap
-    tele = resilience.telemetry
-    run_id = resilience.journal.run_id if resilience.journal else None
-
-    def snap():
-        return telemetry_samples(
-            tele,
-            cache_stats=cache.stats() if cache is not None else None,
-            run_id=run_id,
-            command=command,
-            jobs_total=jobs_total,
-            flight_dumps=_pool_flight_dumps(args, resilience),
-        )
-
-    return snap
-
-
-def _metrics_server(
-    args: argparse.Namespace, *, command: str, fleet=None, resilience=None,
-    cache=None, jobs_total: int | None = None,
-):
-    """``--metrics-port``: a scrape endpoint alive for the run's span,
-    or a no-op context manager when the flag is absent."""
-    from contextlib import nullcontext
-
-    if getattr(args, "metrics_port", None) is None:
-        return nullcontext(None)
-    from repro.obs import MetricsServer
-
-    return MetricsServer(
-        _metrics_snapshot(
-            args, command=command, fleet=fleet, resilience=resilience,
-            cache=cache, jobs_total=jobs_total,
-        ),
-        port=args.metrics_port,
-    )
-
-
-def _write_metrics_sidecar(
-    args: argparse.Namespace, *, command: str, fleet=None, resilience=None,
-    cache=None, jobs_total: int | None = None,
-) -> None:
-    """Write the ``--metrics`` exposition sidecar at the end of a run."""
-    if not getattr(args, "metrics", None):
-        return
-    if fleet is None and resilience is None:
-        print(
-            "note: --metrics needs the scheduler; add --jobs, --fleet, "
-            "or a resilience flag",
-            file=sys.stderr,
-        )
-        return
-    from repro.obs import write_metrics_text
-
-    samples = _metrics_snapshot(
-        args, command=command, fleet=fleet, resilience=resilience,
-        cache=cache, jobs_total=jobs_total,
-    )()
-    print(f"metrics written to {write_metrics_text(args.metrics, samples)}")
-
-
-def _write_run_trace(
-    args: argparse.Namespace, *, resilience=None, fleet=None
-) -> None:
-    """``--trace`` under supervision: stitch the trace from the run's
-    journal(s) — per-worker lanes for fleet runs, a synthetic span tree
-    for journaled pool runs — instead of an in-process profiler."""
-    if not getattr(args, "trace", None):
-        return
-    if fleet is not None:
-        from repro.obs import write_fleet_trace
-        from repro.resilience.fleet import fleet_dir
-
-        path = write_fleet_trace(
-            fleet_dir(args.journal_dir, fleet.run_id), args.trace
-        )
-        print(f"stitched fleet trace written to {path}")
-    elif resilience is not None and resilience.journal is not None:
-        from repro.obs import write_journal_trace
-
-        path = write_journal_trace(resilience.journal.path, args.trace)
-        print(f"journal trace written to {path}")
-    else:
-        print(
-            "note: --trace under supervision needs a run journal; "
-            "drop --no-journal",
-            file=sys.stderr,
-        )
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -489,255 +261,344 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    cache = None
-    resilience = None
-    fleet = _make_fleet(args, command="table1")
-    with _backend_scope(args):
-        if args.jobs > 1 or fleet is not None or _resilience_requested(args):
-            from repro.sched import parallel_suite
+def _profile_in_process(args: argparse.Namespace, fleet) -> bool:
+    """Do ``--trace``/``--json``/``--ndjson`` profile this run in process?
 
-            cache = _make_cache(args)
-            if fleet is not None:
-                resilience = _fleet_resilience(fleet)
-            else:
-                resilience = _make_resilience(args, command="table1")
-            try:
-                with _sigterm_as_interrupt(), _metrics_server(
-                    args, command="table1", fleet=fleet,
-                    resilience=resilience, cache=cache,
-                    jobs_total=len(ALL_BENCHMARKS),
-                ) as metrics_srv:
-                    if metrics_srv is not None:
-                        print(
-                            f"metrics: serving on {metrics_srv.url}",
-                            file=sys.stderr,
-                        )
-                    report = parallel_suite(
-                        jobs=args.jobs, cache=cache,
-                        resilience=None if fleet is not None else resilience,
-                        fleet=fleet,
-                    )
-            except KeyboardInterrupt:
-                return _interrupted(resilience, fleet)
+    Only a serial (``--jobs 1``), non-fleet run executes in this
+    process, and only a fresh anonymous one is profiled: a named
+    (``--run-id``) or resumed run's trace is stitched from its journal,
+    whose run id mints the span ids.  ``table1`` has no profile
+    exports; its ``--trace`` is always the journal's.
+    """
+    exports = ("trace", "json", "ndjson") if hasattr(args, "json") else ()
+    return (
+        any(getattr(args, name) for name in exports)
+        and getattr(args, "jobs", 1) <= 1
+        and fleet is None
+        and args.run_id is None
+        and args.resume is None
+    )
+
+
+class _Scheduled:
+    """The one execution path of ``run``, ``sweep`` and ``table1``.
+
+    Construction builds what the flags ask for: the result cache
+    (``--cache-dir``/``--no-cache``; ``run`` has none), the fleet
+    (``--fleet``/``--join``) or else the supervision policy with its
+    run journal (``--journal-dir``/``--no-journal``).  Entering adds
+    the SIGTERM-as-interrupt scope, the ``--metrics-port`` server and,
+    for an in-process profiled run, the profiler; the body calls the
+    scheduler (:func:`repro.sched.run_jobs`, directly or through
+    ``parallel_sweep``/``parallel_suite``) with :attr:`sched`, so
+    ``--jobs 1`` is the supervisor's in-process serial mode.  An
+    interrupt ends the block quietly; :meth:`finish` turns it into
+    exit code 4, or else writes the output every command shares.
+    """
+
+    def __init__(
+        self, args: argparse.Namespace, *, command: str, benchmark: str,
+        params: dict[str, Any], jobs_total: int,
+    ) -> None:
+        self.args = args
+        self.command = command
+        self.benchmark = benchmark
+        self.params = params
+        self.jobs_total = jobs_total
+        self.jobs = getattr(args, "jobs", 1)
+        self.fleet = _make_fleet(args, command=command)
+        self.profiled = _profile_in_process(args, self.fleet)
+        if not self.profiled and (
+            getattr(args, "json", None) or getattr(args, "ndjson", None)
+        ):
+            print(
+                "note: --json/--ndjson profile only an in-process run "
+                "(--jobs 1, no fleet, no --run-id/--resume); not collected "
+                "here (--trace is stitched from the run journal instead)",
+                file=sys.stderr,
+            )
+        # a profiled run must execute: the profile is its output
+        self.cache = (
+            _make_cache(args)
+            if hasattr(args, "cache_dir") and not self.profiled
+            else None
+        )
+        if self.fleet is not None:
+            from repro.resilience import ResilienceConfig
+
+            # shares the fleet's telemetry, so the stats sidecar, the
+            # degradation exit code and the execution section read the
+            # fleet run like any other
+            self.resilience = ResilienceConfig(telemetry=self.fleet.telemetry)
         else:
-            if getattr(args, "metrics_port", None) is not None:
-                print(
-                    "note: --metrics-port needs the scheduler; add "
-                    "--jobs, --fleet, or a resilience flag",
-                    file=sys.stderr,
+            self.resilience = _make_resilience(args, command=command)
+        self.sched = dict(
+            jobs=self.jobs,
+            cache=self.cache,
+            resilience=None if self.fleet is not None else self.resilience,
+            fleet=self.fleet,
+        )
+        self.prof = None
+        self.interrupted = False
+
+    def __enter__(self) -> "_Scheduled":
+        from contextlib import ExitStack
+
+        with ExitStack() as stack:
+            stack.enter_context(_sigterm_as_interrupt())
+            if getattr(self.args, "metrics_port", None) is not None:
+                from repro.obs import MetricsServer
+
+                srv = stack.enter_context(
+                    MetricsServer(self._samples, port=self.args.metrics_port)
                 )
-            report = run_suite()
-    if _resume_noop(args, resilience):
-        _print_resume_noop(args, resilience)
-        _write_sched_stats(
-            args, cache, benchmark="table1", jobs=args.jobs,
-            resilience=resilience,
+                print(f"metrics: serving on {srv.url}", file=sys.stderr)
+            if self.profiled:
+                from repro.prof import profile_session
+
+                self.prof = stack.enter_context(profile_session())
+            self._stack = stack.pop_all()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._stack.close()
+        self.interrupted = exc_type is not None and issubclass(
+            exc_type, KeyboardInterrupt
         )
-        _write_metrics_sidecar(
-            args, command="table1", fleet=fleet, resilience=resilience,
-            cache=cache, jobs_total=len(ALL_BENCHMARKS),
+        return self.interrupted
+
+    def finish(self, show, status) -> int:
+        """The shared output tail; returns the exit code.
+
+        ``show()`` prints the result and writes ``--out``, skipped when
+        ``--resume`` found the run already complete; ``status()`` is the
+        command's natural exit code, mapped through the degradation
+        ladder after ``--stats``, ``--metrics`` and the trace/profile
+        exports are written.
+        """
+        args = self.args
+        tele = self.resilience.telemetry
+        if self.interrupted:
+            return _interrupted(self.resilience, self.fleet)
+        if (
+            args.resume is not None
+            and tele.completed == 0
+            and tele.resume_skips > 0
+            and not tele.quarantined
+        ):
+            # every job replayed from the journal: the run that
+            # completed it already wrote the artifacts
+            print(
+                f"nothing to do: run {args.resume} already complete "
+                f"({tele.resume_skips} job(s) journaled); artifacts unchanged"
+            )
+        else:
+            show()
+        if getattr(args, "stats", None):
+            self._write_stats()
+        if getattr(args, "metrics", None):
+            from repro.obs import write_metrics_text
+
+            path = write_metrics_text(args.metrics, self._samples())
+            print(f"metrics written to {path}")
+        if self.prof is not None:
+            self._export_profile()
+        elif args.trace:
+            self._write_trace()
+        return _sched_status(status(), self.resilience)
+
+    def _samples(self):
+        """The sample set behind ``--metrics``/``--metrics-port``.
+
+        Fleet runs scan the shared coordination directory read-only —
+        safe to call from any process at any time, and incapable of
+        perturbing the run's byte-identical merge.  Other runs read the
+        in-process scheduler telemetry, which the parent updates as
+        results arrive.
+        """
+        from repro.obs import fleet_samples, list_flight_dumps, telemetry_samples
+
+        fleet = self.fleet
+        if fleet is not None:
+            from repro.resilience.fleet import fleet_dir
+
+            try:
+                return fleet_samples(
+                    fleet_dir(self.args.journal_dir, fleet.run_id),
+                    run_id=fleet.run_id, command=self.command,
+                )
+            except ReproError:
+                # scraped before the workers created the run directory:
+                # serve the still-zero telemetry instead of a 500
+                return telemetry_samples(
+                    fleet.telemetry, run_id=fleet.run_id, command=self.command
+                )
+        journal = self.resilience.journal
+        return telemetry_samples(
+            self.resilience.telemetry,
+            cache_stats=self.cache.stats() if self.cache is not None else None,
+            run_id=journal.run_id if journal is not None else None,
+            command=self.command,
+            jobs_total=self.jobs_total,
+            flight_dumps=len(list_flight_dumps(
+                Path(self.args.journal_dir) / "flightrec" / journal.run_id
+            )) if journal is not None else None,
         )
-        _write_run_trace(args, resilience=resilience, fleet=fleet)
-        return _sched_status(0 if report.all_verified else 1, resilience)
-    print(report.render())
-    if args.out:
+
+    def _write_stats(self) -> None:
+        """The ``--stats`` sidecar: backend, cache, and supervision
+        counters, kept out of ``--out`` so result documents stay
+        byte-identical across cold/warm and serial/parallel runs."""
+        import json
+
+        from repro.exec import current_backend_name
+
+        backend = current_backend_name(self.args.backend)
+        doc = {
+            "schema": "repro-prof-sched/1",
+            "benchmark": self.benchmark,
+            "backend": backend,
+            "jobs": self.jobs,
+            "cache": self.cache.stats() if self.cache is not None else None,
+        }
+        if backend == "jit":
+            from repro.jit import jit_stats
+
+            # artifact-store counters (trace reuse), next to the result cache
+            doc["jit"] = jit_stats()
+        doc["execution"] = self.resilience.telemetry.as_dict()
+        path = Path(self.args.stats)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"scheduler stats written to {path}")
+
+    def _write_trace(self) -> None:
+        """``--trace`` stitched from the run's journal(s): per-worker
+        lanes for fleet runs, a synthetic span tree otherwise."""
+        args = self.args
+        if self.fleet is not None:
+            from repro.obs import write_fleet_trace
+            from repro.resilience.fleet import fleet_dir
+
+            path = write_fleet_trace(
+                fleet_dir(args.journal_dir, self.fleet.run_id), args.trace
+            )
+            print(f"stitched fleet trace written to {path}")
+        elif self.resilience.journal is not None:
+            from repro.obs import write_journal_trace
+
+            path = write_journal_trace(self.resilience.journal.path, args.trace)
+            print(f"journal trace written to {path}")
+        else:
+            print(
+                "note: --trace of a named or parallel run is stitched from "
+                "its journal; drop --no-journal",
+                file=sys.stderr,
+            )
+
+    def _export_profile(self) -> None:
+        """Write whichever of --trace/--json/--ndjson were requested."""
+        args, prof = self.args, self.prof
+        if args.trace:
+            print(f"chrome trace written to {prof.write_chrome_trace(args.trace)}")
+        if args.ndjson:
+            print(f"ndjson log written to {prof.write_ndjson(args.ndjson)}")
+        if args.json:
+            from repro.prof import write_metrics
+
+            doc = prof.metrics(benchmark=self.benchmark, params=self.params)
+            print(f"metrics written to {write_metrics(args.json, doc)}")
+
+
+def _write_out(path: str | None, doc: dict[str, Any], what: str) -> None:
+    if path:
         from repro.prof import write_metrics
 
+        print(f"{what} written to {write_metrics(path, doc)}")
+
+
+def cmd_table1(args: argparse.Namespace) -> int:
+    from repro.sched.runner import execution_section, parallel_suite
+
+    with _Scheduled(
+        args, command="table1", benchmark="table1", params={},
+        jobs_total=len(ALL_BENCHMARKS),
+    ) as run:
+        report = parallel_suite(backend=args.backend, **run.sched)
+
+    def show() -> None:
+        print(report.render())
         doc = report.as_dict()
-        doc.update(_execution_section(resilience))
-        print(f"table written to {write_metrics(args.out, doc)}")
-    _write_sched_stats(
-        args, cache, benchmark="table1", jobs=args.jobs, resilience=resilience
-    )
-    _write_metrics_sidecar(
-        args, command="table1", fleet=fleet, resilience=resilience,
-        cache=cache, jobs_total=len(ALL_BENCHMARKS),
-    )
-    _write_run_trace(args, resilience=resilience, fleet=fleet)
-    return _sched_status(0 if report.all_verified else 1, resilience)
+        doc.update(execution_section(run.resilience.telemetry))
+        _write_out(args.out, doc, "table")
 
-
-def _profiled(args: argparse.Namespace):
-    """Context manager for commands with ``--trace``/``--json``/``--ndjson``:
-    a profiling session when any export was requested, a no-op otherwise."""
-    from contextlib import nullcontext
-
-    if getattr(args, "trace", None) or getattr(args, "json", None) or getattr(
-        args, "ndjson", None
-    ):
-        from repro.prof import profile_session
-
-        return profile_session()
-    return nullcontext(None)
-
-
-def _export_profile(prof, args: argparse.Namespace, benchmark: str, params) -> None:
-    """Write whichever of --trace/--json/--ndjson were requested."""
-    if prof is None:
-        return
-    if getattr(args, "trace", None):
-        path = prof.write_chrome_trace(args.trace)
-        print(f"chrome trace written to {path}")
-    if getattr(args, "ndjson", None):
-        path = prof.write_ndjson(args.ndjson)
-        print(f"ndjson log written to {path}")
-    if getattr(args, "json", None):
-        from repro.prof import write_metrics
-
-        doc = prof.metrics(benchmark=benchmark, params=params)
-        path = write_metrics(args.json, doc)
-        print(f"metrics written to {path}")
+    return run.finish(show, lambda: 0 if report.all_verified else 1)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    params = _parse_params(args.param)
-    resilience = None
-    if _resilience_requested(args):
-        if args.json or args.ndjson:
-            print(
-                "note: --json/--ndjson are not collected when a run is "
-                "supervised; rerun without resilience flags to profile "
-                "(--trace is stitched from the run journal instead)",
-                file=sys.stderr,
-            )
-        from repro.core.base import BenchResult
-        from repro.exec import current_backend_name
-        from repro.sched import JobSpec, run_jobs
+    from repro.core.base import BenchResult
+    from repro.exec import current_backend_name
+    from repro.sched import JobSpec, run_jobs
 
-        resilience = _make_resilience(args, command="run")
-        spec = JobSpec(
-            benchmark=args.benchmark,
-            params=params,
-            system=args.system,
-            backend=current_backend_name(getattr(args, "backend", None)),
+    params = _parse_params(args.param)
+    _resolve_benchmark(args)
+    spec = JobSpec(
+        benchmark=args.benchmark,
+        params=params,
+        system=args.system,
+        backend=current_backend_name(args.backend),
+    )
+    with _Scheduled(
+        args, command="run", benchmark=args.benchmark, params=params,
+        jobs_total=1,
+    ) as run:
+        result = BenchResult.from_dict(
+            run_jobs([spec], **run.sched)[0]["result"]
         )
-        try:
-            with _sigterm_as_interrupt():
-                payloads = run_jobs([spec], resilience=resilience)
-        except KeyboardInterrupt:
-            return _interrupted(resilience)
-        result = BenchResult.from_dict(payloads[0]["result"])
-        prof = None
-    else:
-        system = get_system(args.system) if args.system else None
-        with _backend_scope(args):
-            bench = get_benchmark(args.benchmark, system)
-            with _profiled(args) as prof:
-                result = bench.run(**params)
-    print(result)
-    if result.metrics:
-        print("metrics:")
-        for k, v in result.metrics.items():
-            print(f"  {k}: {v:.6g}")
-    if result.notes:
-        print(result.notes)
-    _export_profile(prof, args, args.benchmark, params)
-    if resilience is not None:
-        _write_run_trace(args, resilience=resilience)
-    return _sched_status(0 if result.verified else 1, resilience)
+
+    def show() -> None:
+        print(result)
+        if result.metrics:
+            print("metrics:")
+            for k, v in result.metrics.items():
+                print(f"  {k}: {v:.6g}")
+        if result.notes:
+            print(result.notes)
+
+    return run.finish(show, lambda: 0 if result.verified else 1)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.sched.runner import bench_document, parallel_sweep
+
     values = (
         [int(v, 0) for v in args.values.split(",")] if args.values else None
     )
+    if values is None and (args.jobs > 1 or _fleet_requested(args)):
+        raise SystemExit(
+            "--jobs > 1 and --fleet/--join need explicit --values to "
+            "decompose the sweep into jobs"
+        )
     params = _parse_params(args.param)
-    cache = None
-    resilience = None
-    fleet = _make_fleet(args, command="sweep")
-    if args.jobs > 1 or fleet is not None or _resilience_requested(args):
-        if values is None:
-            raise SystemExit(
-                "--jobs, --fleet/--join, and the resilience flags need "
-                "explicit --values to decompose the sweep into jobs"
-            )
-        if args.json or args.ndjson:
-            print(
-                "note: --json/--ndjson only observe the parent process; "
-                "worker activity is not profiled under --jobs (--trace "
-                "is stitched from the run journal instead)",
-                file=sys.stderr,
-            )
-        from repro.sched import parallel_sweep
-
-        cache = _make_cache(args)
-        if fleet is not None:
-            resilience = _fleet_resilience(fleet)
-        else:
-            resilience = _make_resilience(args, command="sweep")
-        try:
-            with _sigterm_as_interrupt(), _metrics_server(
-                args, command="sweep", fleet=fleet, resilience=resilience,
-                cache=cache, jobs_total=len(values),
-            ) as metrics_srv:
-                if metrics_srv is not None:
-                    print(
-                        f"metrics: serving on {metrics_srv.url}",
-                        file=sys.stderr,
-                    )
-                sweep = parallel_sweep(
-                    args.benchmark,
-                    values,
-                    params=params,
-                    system=args.system,
-                    backend=getattr(args, "backend", None),
-                    jobs=args.jobs,
-                    cache=cache,
-                    resilience=None if fleet is not None else resilience,
-                    fleet=fleet,
-                )
-        except KeyboardInterrupt:
-            return _interrupted(resilience, fleet)
-        prof = None
-    else:
-        if getattr(args, "metrics_port", None) is not None:
-            print(
-                "note: --metrics-port needs the scheduler; add --jobs, "
-                "--fleet, or a resilience flag",
-                file=sys.stderr,
-            )
-        system = get_system(args.system) if args.system else None
-        with _backend_scope(args):
-            bench = get_benchmark(args.benchmark, system)
-            with _profiled(args) as prof:
-                sweep = bench.sweep(values, **params)
-    if _resume_noop(args, resilience):
-        _print_resume_noop(args, resilience)
-        _write_sched_stats(
-            args, cache, benchmark=args.benchmark, jobs=args.jobs,
-            resilience=resilience,
+    _resolve_benchmark(args)
+    with _Scheduled(
+        args, command="sweep", benchmark=args.benchmark, params=params,
+        jobs_total=len(values) if values else 1,
+    ) as run:
+        sweep = parallel_sweep(
+            args.benchmark, values, params=params, system=args.system,
+            backend=args.backend, **run.sched,
         )
-        _write_metrics_sidecar(
-            args, command="sweep", fleet=fleet, resilience=resilience,
-            cache=cache, jobs_total=len(values) if values else None,
-        )
-        _write_run_trace(args, resilience=resilience, fleet=fleet)
-        return _sched_status(0, resilience)
-    print(sweep.render())
-    if args.out:
-        from repro.prof import write_metrics
 
-        doc = {
-            "schema": "repro-prof-bench/1",
-            "benchmark": args.benchmark,
-            "params": params,
-            "sweep": sweep.as_dict(),
-        }
-        doc.update(_execution_section(resilience))
-        print(f"sweep results written to {write_metrics(args.out, doc)}")
-    _write_sched_stats(
-        args, cache, benchmark=args.benchmark, jobs=args.jobs,
-        resilience=resilience,
-    )
-    _write_metrics_sidecar(
-        args, command="sweep", fleet=fleet, resilience=resilience,
-        cache=cache, jobs_total=len(values) if values else None,
-    )
-    _export_profile(prof, args, args.benchmark, params)
-    if prof is None and (fleet is not None or resilience is not None):
-        _write_run_trace(args, resilience=resilience, fleet=fleet)
-    return _sched_status(0, resilience)
+    def show() -> None:
+        print(sweep.render())
+        doc = bench_document(
+            args.benchmark, params, sweep=sweep,
+            telemetry=run.resilience.telemetry,
+        )
+        _write_out(args.out, doc, "sweep results")
+
+    return run.finish(show, lambda: 0)
 
 
 def cmd_specs(_args: argparse.Namespace) -> int:
@@ -776,12 +637,11 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     finding is critical — usable as a CI gate.
     """
     from repro.host.doctor import diagnose_metrics
-    from repro.prof import collect_metrics, merge_metrics, profile_session
+    from repro.prof import collect_metrics, merge_metrics, profile_benchmark
 
-    system = get_system(args.system) if args.system else None
-    bench = get_benchmark(args.benchmark, system)
-    with profile_session() as prof:
-        bench.run(**_parse_params(args.param))
+    prof, _ = profile_benchmark(
+        args.benchmark, _parse_params(args.param), system=args.system
+    )
     docs = [
         collect_metrics(rt, benchmark=args.benchmark) for rt in prof.runtimes
     ]
@@ -806,16 +666,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ``benchmarks/results/PROF_<benchmark>.json``) plus any requested
     Chrome trace / NDJSON log, and prints the roofline classification.
     """
-    from repro.prof import profile_session, render_roofline, write_metrics
+    from repro.prof import profile_benchmark, render_roofline, write_metrics
     from repro.prof.roofline import classify_kernel
     from repro.timing.model import estimate_kernel_time
 
-    system = get_system(args.system) if args.system else None
     params = _parse_params(args.param)
-    with _backend_scope(args):
-        bench = get_benchmark(args.benchmark, system)
-        with profile_session() as prof:
-            result = bench.run(**params)
+    prof, result = profile_benchmark(
+        args.benchmark, params, system=args.system, backend=args.backend
+    )
     print(result)
 
     doc = prof.metrics(benchmark=args.benchmark, params=params)
@@ -1453,7 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--metrics", metavar="PATH",
             help="write a Prometheus text-format metrics sidecar here "
-            "when the run finishes (scheduled runs only)",
+            "when the run finishes",
         )
         sp.add_argument(
             "--metrics-port", type=int, default=None, metavar="PORT",

@@ -30,7 +30,7 @@ from repro.prof.metrics import (
 )
 from repro.prof.ndjson import read_ndjson, record_from_json, record_to_json, write_ndjson
 from repro.prof.roofline import RooflinePoint, classify_kernel, peak_lane_ops, render_roofline
-from repro.prof.session import Profiler, profile_session
+from repro.prof.session import Profiler, profile_benchmark, profile_session
 
 __all__ = [
     "KINDS",
@@ -64,5 +64,6 @@ __all__ = [
     "peak_lane_ops",
     "render_roofline",
     "Profiler",
+    "profile_benchmark",
     "profile_session",
 ]

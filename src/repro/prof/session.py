@@ -28,9 +28,10 @@ from repro.prof.metrics import collect_metrics, merge_metrics
 from repro.prof.ndjson import write_ndjson
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.base import BenchResult
     from repro.host.runtime import CudaLite
 
-__all__ = ["Profiler", "profile_session"]
+__all__ = ["Profiler", "profile_session", "profile_benchmark"]
 
 
 class Profiler:
@@ -119,3 +120,27 @@ def profile_session(
             prof.runtimes.extend(
                 rt for rt in session.runtimes if rt not in prof.runtimes
             )
+
+
+def profile_benchmark(
+    benchmark: str,
+    params: dict[str, Any],
+    *,
+    system: str | None = None,
+    backend: str | None = None,
+) -> tuple[Profiler, "BenchResult"]:
+    """Run one benchmark comparison in process under a profiling session.
+
+    The single in-process profiled run behind ``repro profile``,
+    ``repro doctor`` and served ``profile`` requests: resolve the
+    system preset and benchmark, select the backend (explicit >
+    ambient > environment), and profile ``bench.run(**params)``.
+    """
+    from repro.arch.presets import get_system
+    from repro.core.registry import get_benchmark
+    from repro.exec.dispatch import current_backend_name, use_backend
+
+    bench = get_benchmark(benchmark, get_system(system) if system else None)
+    with use_backend(current_backend_name(backend)), profile_session() as prof:
+        result = bench.run(**params)
+    return prof, result

@@ -514,6 +514,11 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                 lease = leases.claim(fp, cfg.worker_id)
                 if lease is None:
                     continue
+                if fp in _resolved(run_dir):
+                    # a peer completed the job and released its lease
+                    # after this pass's scan: nothing left to claim
+                    leases.release(lease)
+                    continue
                 progress = True
                 events.emit(
                     "lease-steal" if lease.epoch else "lease-acquire",

@@ -3,10 +3,12 @@
 A cache entry's key is the SHA-256 of everything the result can depend
 on: the *source code* of the benchmark's module and of every module
 defining a :class:`~repro.simt.kernel.KernelDef` it references, the
-fully-resolved :class:`~repro.arch.spec.SystemSpec`, the run
-parameters, the sweep value, and the execution backend.  Editing a
-kernel, switching GPUs, or changing a parameter therefore changes the
-key; re-running an unchanged configuration is a cache hit that replays
+source of the simulator model itself (:func:`model_fingerprint`) and
+the NumPy version, the fully-resolved
+:class:`~repro.arch.spec.SystemSpec`, the run parameters, the sweep
+value, and the execution backend.  Editing a kernel or the model,
+switching GPUs, or changing a parameter therefore changes the key;
+re-running an unchanged configuration is a cache hit that replays
 the stored JSON payload — which round-trips floats exactly, so a warm
 run is byte-identical to a cold one.
 
@@ -22,6 +24,7 @@ recomputes instead of crashing or replaying garbage.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -43,6 +46,7 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "gc_cache",
+    "model_fingerprint",
     "source_fingerprint",
 ]
 
@@ -54,11 +58,41 @@ _KEY_VERSION = 1
 
 _fingerprint_memo: dict[str, str] = {}
 
+#: the ``repro`` subpackages every benchmark result derives from: the
+#: simulator model and the helpers it imports (not the scheduler,
+#: journal, observability or service plumbing around it)
+_MODEL_PACKAGES = (
+    "arch", "common", "core", "exec", "faults", "host", "jit", "kernels",
+    "mem", "simt", "sparse", "timing",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def model_fingerprint() -> str:
+    """SHA-256 over the simulator model's source files and NumPy version.
+
+    Hashes every ``.py`` file of :data:`_MODEL_PACKAGES` by its path
+    relative to the ``repro`` package and its bytes, so an edit to any
+    model layer (say ``mem/hierarchy.py``) changes every key while a
+    byte-identical checkout at another location keeps them.  Computed
+    once per process.
+    """
+    import numpy
+
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256(f"numpy {numpy.__version__}".encode())
+    for package in _MODEL_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
 
 def source_fingerprint(bench_cls: type) -> str:
     """SHA-256 over the sources a benchmark's results derive from.
 
-    Covers the benchmark class's own module plus the module of every
+    Covers the simulator model (:func:`model_fingerprint`), the
+    benchmark class's own module, and the module of every
     :class:`KernelDef` reachable from that module's globals (kernels
     are sometimes defined in shared helper modules).
     """
@@ -73,7 +107,7 @@ def source_fingerprint(bench_cls: type) -> str:
         for value in vars(mod).values():
             if isinstance(value, KernelDef):
                 modules.add(value.func.__module__)
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(model_fingerprint().encode())
     for name in sorted(modules):
         digest.update(name.encode())
         m = sys.modules.get(name)

@@ -36,9 +36,17 @@ from repro.sched.cache import ResultCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceContext
     from repro.resilience.fleet import FleetConfig
-    from repro.resilience.supervisor import ResilienceConfig
+    from repro.resilience.supervisor import ResilienceConfig, SchedTelemetry
 
-__all__ = ["JobSpec", "execute_job", "run_jobs", "parallel_sweep", "parallel_suite"]
+__all__ = [
+    "JobSpec",
+    "execute_job",
+    "run_jobs",
+    "parallel_sweep",
+    "parallel_suite",
+    "execution_section",
+    "bench_document",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,7 @@ class JobSpec:
     benchmark: str
     kind: str = "run"                    #: "run" or "sweep" (one value)
     params: dict[str, Any] = field(default_factory=dict)
+    #: a sweep job's x-values; None = the benchmark's own default sweep
     values: tuple[Any, ...] | None = None
     system: str | None = None            #: preset name; None = paper default
     backend: str = "reference"
@@ -59,7 +68,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("run", "sweep"):
             raise ReproError(f"unknown job kind {self.kind!r}")
-        if self.kind == "sweep" and not self.values:
+        if self.kind == "sweep" and self.values is not None and not self.values:
             raise ReproError("sweep jobs need at least one value")
 
 
@@ -75,7 +84,8 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
         if spec.kind == "run":
             result = bench.run(**spec.params)
             return {"kind": "run", "result": result.as_dict()}
-        sweep = bench.sweep(list(spec.values), **spec.params)
+        values = list(spec.values) if spec.values is not None else None
+        sweep = bench.sweep(values, **spec.params)
         return {"kind": "sweep", "sweep": sweep.as_dict(), "title": sweep.title}
 
 
@@ -132,7 +142,7 @@ def run_jobs(
 
 def parallel_sweep(
     benchmark: str,
-    values: Sequence[Any],
+    values: Sequence[Any] | None,
     *,
     params: dict[str, Any] | None = None,
     system: str | None = None,
@@ -146,9 +156,10 @@ def parallel_sweep(
 
     Identical to ``bench.sweep(values, **params)`` — byte-for-byte on
     the exported document — because each sweep point is computed by the
-    same per-value comparison the serial loop runs.
+    same per-value comparison the serial loop runs.  ``values=None`` is
+    the benchmark's own default sweep, run as a single job.
     """
-    if not values:
+    if values is not None and not values:
         raise ReproError("parallel_sweep needs explicit sweep values")
     resolved = current_backend_name(backend)
     specs = [
@@ -156,11 +167,11 @@ def parallel_sweep(
             benchmark=benchmark,
             kind="sweep",
             params=dict(params or {}),
-            values=(v,),
+            values=point,
             system=system,
             backend=resolved,
         )
-        for v in values
+        for point in ([(v,) for v in values] if values is not None else [None])
     ]
     payloads = run_jobs(
         specs, jobs=jobs, cache=cache, resilience=resilience, fleet=fleet
@@ -209,3 +220,48 @@ def parallel_suite(
     return SuiteReport(
         results=[BenchResult.from_dict(p["result"]) for p in payloads]
     )
+
+
+def execution_section(telemetry: "SchedTelemetry") -> dict[str, Any]:
+    """A result document's ``execution`` section.
+
+    Present only when the run degraded, so clean documents stay
+    byte-identical across serial/parallel/cold/warm/resumed runs while
+    a fallback (the one case where the configuration asked for was not
+    what actually ran) is recorded next to the results it produced.
+    """
+    if not telemetry.fallbacks:
+        return {}
+    return {
+        "execution": {
+            "mode": telemetry.mode, "fallbacks": list(telemetry.fallbacks),
+        }
+    }
+
+
+def bench_document(
+    benchmark: str,
+    params: dict[str, Any],
+    *,
+    sweep: SweepResult | None = None,
+    result: BenchResult | None = None,
+    telemetry: "SchedTelemetry",
+) -> dict[str, Any]:
+    """The ``repro-prof-bench/1`` document of one sweep or one run.
+
+    The one builder behind ``repro sweep --out`` and the served
+    ``run``/``sweep`` results, so both serialize to the same bytes.
+    """
+    from repro.prof.metrics import BENCH_SCHEMA
+
+    doc: dict[str, Any] = {
+        "schema": BENCH_SCHEMA,
+        "benchmark": benchmark,
+        "params": params,
+    }
+    if sweep is not None:
+        doc["sweep"] = sweep.as_dict()
+    else:
+        doc["results"] = [result.as_dict()]
+    doc.update(execution_section(telemetry))
+    return doc

@@ -5,10 +5,11 @@ QueueEntry` and runs it through exactly the code path the CLI uses for
 the same work — ``run``/``sweep`` through
 :func:`~repro.sched.runner.run_jobs` / ``parallel_sweep`` under a
 :class:`~repro.resilience.supervisor.ResilienceConfig`, ``profile``
-through :func:`~repro.prof.profile_session`, ``check`` through
-:func:`~repro.check.check_all` — and renders the result document with
-the same :func:`~repro.prof.render_metrics` serializer the CLI's
-``--out`` uses.  Same decomposition + same serializer = a served
+through :func:`~repro.prof.profile_benchmark`, ``check`` through
+:func:`~repro.check.check_all` — and builds the result document with
+the same :func:`~repro.sched.runner.bench_document` builder and
+:func:`~repro.prof.render_metrics` serializer the CLI's ``--out``
+uses.  Same decomposition + same serializer = a served
 result that ``cmp``-compares byte-identical to the serial command
 line, which is the recovery story's acceptance test.
 
@@ -173,49 +174,30 @@ def _execute_pooled(
     entry: QueueEntry, *, data_dir, cache, jobs, on_event, now
 ) -> ExecutionOutcome:
     from repro.core.base import BenchResult
-    from repro.prof.metrics import BENCH_SCHEMA, render_metrics
-    from repro.sched.runner import parallel_sweep, run_jobs
+    from repro.prof.metrics import render_metrics
+    from repro.sched.runner import bench_document, parallel_sweep, run_jobs
 
     req = entry.request
     hub = _progress_hub(entry, on_event)
     resilience = _make_resilience(entry, Path(data_dir), hub, now, on_event)
+    sched = dict(jobs=jobs, cache=cache, resilience=resilience)
     try:
-        doc: dict[str, Any]
         if req.kind == "sweep":
             sweep = parallel_sweep(
-                req.benchmark,
-                req.values,
-                params=req.params,
-                system=req.system,
-                backend=req.backend,
-                jobs=jobs,
-                cache=cache,
-                resilience=resilience,
+                req.benchmark, req.values, params=req.params,
+                system=req.system, backend=req.backend, **sched,
             )
-            doc = {
-                "schema": BENCH_SCHEMA,
-                "benchmark": req.benchmark,
-                "params": req.params,
-                "sweep": sweep.as_dict(),
-            }
+            doc = bench_document(
+                req.benchmark, req.params, sweep=sweep,
+                telemetry=resilience.telemetry,
+            )
         else:
-            payloads = run_jobs(
-                req.job_specs(), jobs=jobs, cache=cache,
-                resilience=resilience,
+            payloads = run_jobs(req.job_specs(), **sched)
+            doc = bench_document(
+                req.benchmark, req.params,
+                result=BenchResult.from_dict(payloads[0]["result"]),
+                telemetry=resilience.telemetry,
             )
-            result = BenchResult.from_dict(payloads[0]["result"])
-            doc = {
-                "schema": BENCH_SCHEMA,
-                "benchmark": req.benchmark,
-                "params": req.params,
-                "results": [result.as_dict()],
-            }
-        # mirror the CLI: a degraded run records how it actually ran
-        tele = resilience.telemetry
-        if tele.fallbacks:
-            doc["execution"] = {
-                "mode": tele.mode, "fallbacks": list(tele.fallbacks),
-            }
         return ExecutionOutcome(state="done", text=render_metrics(doc))
     finally:
         if resilience.journal is not None:
@@ -223,18 +205,13 @@ def _execute_pooled(
 
 
 def _execute_profile(entry: QueueEntry, *, now) -> ExecutionOutcome:
-    from repro.arch.presets import get_system
-    from repro.core.registry import get_benchmark
-    from repro.exec.dispatch import use_backend, current_backend_name
-    from repro.prof import profile_session, render_metrics
+    from repro.prof import profile_benchmark, render_metrics
 
     req = entry.request
     with _INPROC_LOCK:
-        system = get_system(req.system) if req.system else None
-        bench = get_benchmark(req.benchmark, system)
-        with use_backend(current_backend_name(req.backend)):
-            with profile_session() as prof:
-                bench.run(**req.params)
+        prof, _ = profile_benchmark(
+            req.benchmark, req.params, system=req.system, backend=req.backend
+        )
         doc = prof.metrics(benchmark=req.benchmark, params=req.params)
     if _expired(entry, now()):
         return ExecutionOutcome(

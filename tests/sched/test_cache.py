@@ -167,3 +167,54 @@ class TestQuarantine:
         )
         assert chaotic.get(k) is None
         assert chaotic.quarantines == 1
+
+
+class TestModelProvenance:
+    """Keys cover the simulator model, not just the benchmark modules."""
+
+    PROBE = (
+        "import sys\n"
+        "from repro.arch.presets import CARINA\n"
+        "from repro.core.registry import get_benchmark\n"
+        "from repro.sched.cache import ResultCache\n"
+        "cache = ResultCache(sys.argv[1])\n"
+        "key = cache.key_for(bench_cls=type(get_benchmark('CoMem')),\n"
+        "    system=CARINA, kind='run', params={'n': 64}, values=None,\n"
+        "    backend='reference')\n"
+        "print('hit' if cache.get(key) is not None else 'miss')\n"
+    )
+
+    def _probe(self, package_root, cache_dir):
+        import os
+        import subprocess
+        import sys
+
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(package_root)
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(cache_dir)],
+            cwd=package_root, env=env, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        return out.stdout.strip()
+
+    def test_model_edit_misses(self, cache, tmp_path):
+        import shutil
+        from pathlib import Path
+
+        import repro
+
+        cache.put(key(cache, kind="run", values=None), {"kind": "run"})
+        src = Path(repro.__file__).parent
+        ignore = shutil.ignore_patterns("__pycache__")
+        pristine = tmp_path / "pristine"
+        edited = tmp_path / "edited"
+        shutil.copytree(src, pristine / "repro", ignore=ignore)
+        shutil.copytree(src, edited / "repro", ignore=ignore)
+        hierarchy = edited / "repro" / "mem" / "hierarchy.py"
+        hierarchy.write_text(hierarchy.read_text() + "\n# model edit\n")
+        # a byte-identical copy elsewhere still hits: keys hash content
+        assert self._probe(pristine, cache.root) == "hit"
+        assert self._probe(edited, cache.root) == "miss"

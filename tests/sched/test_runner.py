@@ -20,9 +20,11 @@ class TestJobSpec:
         with pytest.raises(ReproError):
             JobSpec(benchmark="Shmem", kind="profile")
 
-    def test_sweep_needs_values(self):
+    def test_sweep_needs_nonempty_values(self):
         with pytest.raises(ReproError):
-            JobSpec(benchmark="Shmem", kind="sweep")
+            JobSpec(benchmark="Shmem", kind="sweep", values=())
+        # None is the benchmark's own default sweep
+        assert JobSpec(benchmark="Shmem", kind="sweep").values is None
 
 
 class TestExecuteJob:

@@ -5,6 +5,14 @@ import pytest
 from repro.__main__ import _parse_params, build_parser, main
 
 
+@pytest.fixture
+def isolated_cwd(tmp_path, monkeypatch):
+    """Run in a temporary directory: ``run``/``sweep``/``table1`` keep
+    their default ``.repro-cache/`` and ``.repro-journal/`` there, not
+    in the checkout, and no test replays another's cache entries."""
+    monkeypatch.chdir(tmp_path)
+
+
 class TestParseParams:
     def test_int(self):
         assert _parse_params(["n=1024"]) == {"n": 1024}
@@ -20,6 +28,7 @@ class TestParseParams:
             _parse_params(["oops"])
 
 
+@pytest.mark.usefixtures("isolated_cwd")
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -75,6 +84,7 @@ class TestDoctorCommand:
         assert main(["doctor", "NoSuchBench"]) == 2
 
 
+@pytest.mark.usefixtures("isolated_cwd")
 class TestProfileCommand:
     def test_writes_metrics_trace_and_ndjson(self, capsys, tmp_path):
         trace = tmp_path / "t.json"
@@ -252,6 +262,7 @@ class TestSanitizeCommand:
         assert main(["sanitize", "no-such-target"]) == 2
 
 
+@pytest.mark.usefixtures("isolated_cwd")
 class TestBackendFlag:
     def test_run_backend_fast_matches_reference(self, capsys):
         assert main(["run", "MemAlign", "--backend", "fast", "-p", "n=65536"]) == 0
@@ -265,6 +276,7 @@ class TestBackendFlag:
             main(["run", "MemAlign", "--backend", "vectorized"])
 
 
+@pytest.mark.usefixtures("isolated_cwd")
 class TestSchedulerFlags:
     def test_parallel_sweep_out_is_byte_identical(self, capsys, tmp_path):
         values = "65536,131072"
@@ -326,6 +338,53 @@ class TestSchedulerFlags:
             main(["sweep", "BankRedux", "--jobs", "2"])
 
 
+@pytest.mark.usefixtures("isolated_cwd")
+class TestSerialScheduling:
+    """``--jobs 1`` runs go through the scheduler, so every flag holds."""
+
+    def test_cache_dir_warm_run_hits_and_is_byte_identical(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        base = [
+            "sweep", "BankRedux", "--values", "65536,131072",
+            "--cache-dir", str(tmp_path / "X"), "--no-journal",
+        ]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        stats = tmp_path / "stats.json"
+        assert main(base + ["--out", str(cold), "--stats", str(stats)]) == 0
+        assert json.loads(stats.read_text())["cache"]["misses"] == 2
+        assert main(base + ["--out", str(warm), "--stats", str(stats)]) == 0
+        capsys.readouterr()
+        doc = json.loads(stats.read_text())
+        assert doc["cache"]["hits"] == 2 and doc["cache"]["misses"] == 0
+        assert cold.read_bytes() == warm.read_bytes()
+
+    def test_metrics_sidecar_at_jobs_1(self, capsys, tmp_path):
+        from repro.obs.metrics import parse_prometheus_text
+
+        metrics = tmp_path / "M.prom"
+        assert main([
+            "sweep", "MemAlign", "--values", "8192",
+            "--metrics", str(metrics),
+        ]) == 0
+        assert "metrics written to" in capsys.readouterr().out
+        names = {s.name for s in parse_prometheus_text(metrics.read_text())}
+        assert "repro_run_info" in names
+
+    def test_journal_dir_at_jobs_1_is_listed(self, capsys, tmp_path):
+        jd = tmp_path / "J"
+        assert main([
+            "sweep", "MemAlign", "--values", "8192", "--journal-dir", str(jd),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["journal", "ls", "--journal-dir", str(jd)]) == 0
+        out = capsys.readouterr().out
+        assert "no journaled runs" not in out and "sweep" in out
+
+
+@pytest.mark.usefixtures("isolated_cwd")
 class TestResilienceFlags:
     def test_chaos_sweep_byte_identical_to_clean(self, capsys, tmp_path):
         values = "16384,32768"
@@ -595,6 +654,7 @@ class TestProfDiffBenchDocs:
         assert "benchmarks only in before: Shmem" in out
 
 
+@pytest.mark.usefixtures("isolated_cwd")
 class TestFleetCLI:
     """``sweep --fleet/--join`` and their argument validation."""
 
