@@ -46,6 +46,7 @@ checkpointed to the run journal — finish it with ``--resume``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -85,6 +86,23 @@ def _make_cache(args: argparse.Namespace):
     from repro.sched import ResultCache
 
     return ResultCache(args.cache_dir, enabled=not args.no_cache)
+
+
+def _follow_cache_flags(args: argparse.Namespace) -> None:
+    """Put the JIT artifact store under ``--cache-dir`` (``off`` under
+    ``--no-cache``) unless ``REPRO_JIT_CACHE_DIR`` already names one.
+
+    The choice travels through the environment, so pool and fleet
+    worker processes use the same store.
+    """
+    if not hasattr(args, "no_cache") or os.environ.get("REPRO_JIT_CACHE_DIR"):
+        return
+    from repro.jit import reset_jit_store
+
+    os.environ["REPRO_JIT_CACHE_DIR"] = (
+        "off" if args.no_cache else str(Path(args.cache_dir) / "jit")
+    )
+    reset_jit_store()
 
 
 def _resilience_requested(args: argparse.Namespace) -> bool:
@@ -1679,6 +1697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _follow_cache_flags(args)
     try:
         return args.fn(args)
     except ReproError as exc:

@@ -100,26 +100,34 @@ class TrafficReport:
         }
 
 
-def _warp_line_lists(
-    addrs: np.ndarray, mask: np.ndarray, itemsize: int, line_bytes: int
-) -> list[np.ndarray]:
-    """Per window warp, the distinct line ids it touches (sorted)."""
-    out: list[np.ndarray] = []
-    for row_a, row_m in zip(addrs, mask):
-        if not row_m.any():
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        a = row_a[row_m]
-        first = a // line_bytes
-        last = (a + itemsize - 1) // line_bytes
-        out.append(np.unique(np.concatenate([first, last])))
-    return out
+_NO_LANE = np.iinfo(np.int64).max  #: sorts after every real sector id
 
 
-def _warp_sector_lists(
+def _warp_sectors(
     addrs: np.ndarray, mask: np.ndarray, itemsize: int, sector_bytes: int
-) -> list[np.ndarray]:
-    return _warp_line_lists(addrs, mask, itemsize, sector_bytes)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each window warp's distinct sectors, ascending, flattened warp-major.
+
+    Returns ``(warp, sector)`` arrays, one entry per distinct pair.  Each
+    active lane contributes the first and last sector of its element.
+    """
+    both = np.concatenate(
+        [addrs // sector_bytes, (addrs + itemsize - 1) // sector_bytes], axis=1
+    )
+    both = np.where(np.concatenate([mask, mask], axis=1), both, _NO_LANE)
+    both.sort(axis=1)
+    keep = both != _NO_LANE
+    keep[:, 1:] &= both[:, 1:] != both[:, :-1]
+    warp, _ = np.nonzero(keep)
+    return warp, both[keep]
+
+
+def _count_by_record(rec_ids: np.ndarray, where: np.ndarray, n_rec: int) -> list[int]:
+    return np.bincount(rec_ids[where], minlength=n_rec).tolist()
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def resolve_traffic(
@@ -139,6 +147,12 @@ def resolve_traffic(
     resident_warps_per_sm:
         From the occupancy calculation; sets each warp's fair share of
         the L1 and texture caches.
+
+    The whole trace is resolved in two cache batches: first every
+    record's per-warp line stream through the on-SM caches, then the
+    concatenated L1-miss sector stream through the L2.  That order is
+    exact because no L1 outcome depends on the L2, and each batch keeps
+    program order within every cache set.
     """
     report = TrafficReport()
     if not trace.records:
@@ -146,16 +160,17 @@ def resolve_traffic(
 
     line_bytes = gpu.transaction_bytes
     sector_bytes = gpu.sector_bytes
+    sectors_per_line = line_bytes // sector_bytes
     rw = max(int(resident_warps_per_sm), 1)
 
     nw = trace.window_warps
     l1_share = max(gpu.l1_size // line_bytes // rw, 1)
     tex_share = max(gpu.texture_cache_size // line_bytes // rw, 1)
-    l1_caches = [LRUCache(l1_share, ways=4) for _ in range(nw)]
-    tex_caches = (
-        [LRUCache(tex_share, ways=4) for _ in range(nw)]
-        if gpu.texture_cache_dedicated
-        else l1_caches  # unified path: texture shares the L1 model
+    # One on-SM cache per window warp; dedicated texture caches follow
+    # at offset nw, otherwise texture shares the L1 model.
+    on_sm = LRUCache(
+        [l1_share] * nw + ([tex_share] * nw if gpu.texture_cache_dedicated else []),
+        ways=4,
     )
 
     # The window competes for L2 with the other *co-resident* warps, not
@@ -169,10 +184,65 @@ def resolve_traffic(
     l2_capacity = max(int(gpu.l2_size / sector_bytes * frac), 8)
     l2 = LRUCache(l2_capacity, ways=16)
 
+    # --- on-SM cache stage: every record's window-warp line streams ------
+    records = trace.records
+    n_rec = len(records)
+    no_entries = np.empty(0, dtype=np.int64)
+    cached = [False] * n_rec
+    sectors = [no_entries] * n_rec      # distinct (warp, sector)s
+    sector_line = [no_entries] * n_rec  # each sector's L1 access
+    window_lines = [0] * n_rec
+    l1_lines: list[np.ndarray] = []
+    l1_caches: list[np.ndarray] = []
+    n_l1 = 0
+    for i, rec in enumerate(records):
+        if rec.space == "constant":
+            continue
+        warp, sec = _warp_sectors(
+            rec.window_addrs, rec.window_mask, rec.itemsize, sector_bytes
+        )
+        sectors[i] = sec
+        if rec.space == "texture":
+            cached[i] = True
+            offset = nw if gpu.texture_cache_dedicated else 0
+        else:
+            cached[i] = gpu.global_loads_cached_in_l1 and not rec.is_store
+            offset = 0
+        if not cached[i]:
+            continue
+        # A warp's lines are exactly its sectors' lines, so each sector's
+        # L1 outcome is its line's: look it up, no set test needed.
+        line = sec // sectors_per_line
+        new_line = np.ones(sec.size, dtype=bool)
+        new_line[1:] = (warp[1:] != warp[:-1]) | (line[1:] != line[:-1])
+        sector_line[i] = n_l1 + np.cumsum(new_line) - 1
+        l1_lines.append(line[new_line])
+        l1_caches.append(warp[new_line] + offset)
+        window_lines[i] = l1_lines[-1].size
+        n_l1 += window_lines[i]
+    l1_hit, _ = on_sm.access_batch(_concat(l1_lines), caches=_concat(l1_caches))
+    l1_rec = np.repeat(np.arange(n_rec), window_lines)
+    window_l1_hits = _count_by_record(l1_rec, l1_hit, n_rec)
+
+    # --- L2 stage: the whole trace's L1-miss sector stream ---------------
+    l2_parts = [
+        sec[~l1_hit[line_of]] if on else sec
+        for sec, line_of, on in zip(sectors, sector_line, cached)
+    ]
+    l2_acc = [p.size for p in l2_parts]
+    l2_rec = np.repeat(np.arange(n_rec), l2_acc)
+    l2_hit, l2_dirtied = l2.access_batch(
+        _concat(l2_parts),
+        writes=np.array([r.is_store for r in records], dtype=bool)[l2_rec],
+    )
+    l2_hits = _count_by_record(l2_rec, l2_hit, n_rec)
+    l2_dirt = _count_by_record(l2_rec, l2_dirtied, n_rec)
+
+    # --- per-record accumulation, in program order -----------------------
     lat_weight = 0.0
     lat_cycles = 0.0
 
-    for rec in trace.records:
+    for i, rec in enumerate(records):
         if rec.space == "constant":
             # Constant traffic is modelled at issue time; assume the
             # (small) constant bank is cache-resident after first touch.
@@ -186,52 +256,22 @@ def resolve_traffic(
         report.per_space[rec.space] = (
             report.per_space.get(rec.space, 0.0) + rec.summary.bytes_requested
         )
-
-        if rec.space == "texture":
-            cached_on_sm = True
-            caches = tex_caches
-        else:
-            cached_on_sm = gpu.global_loads_cached_in_l1 and not rec.is_store
-            caches = l1_caches
-
-        warp_lines = _warp_line_lists(
-            rec.window_addrs, rec.window_mask, rec.itemsize, line_bytes
-        )
-        warp_sectors = _warp_sector_lists(
-            rec.window_addrs, rec.window_mask, rec.itemsize, sector_bytes
-        )
-
-        # --- on-SM cache stage ----------------------------------------
-        window_l2_sectors: list[np.ndarray] = []
-        window_lines = 0
-        window_l1_hits = 0
-        for w, (lines, sectors) in enumerate(zip(warp_lines, warp_sectors)):
-            if lines.size == 0:
-                continue
-            window_lines += lines.size
-            if not cached_on_sm:
-                window_l2_sectors.append(sectors)
-                continue
-            cache = caches[w]
-            missed_lines = [lid for lid in lines.tolist() if not cache.access(lid)]
-            window_l1_hits += lines.size - len(missed_lines)
-            if missed_lines:
-                miss_set = np.asarray(missed_lines, dtype=np.int64)
-                sec_lines = sectors // (line_bytes // sector_bytes)
-                window_l2_sectors.append(sectors[np.isin(sec_lines, miss_set)])
+        cached_on_sm = cached[i]
+        w_lines = window_lines[i]
+        w_l1_hits = window_l1_hits[i]
 
         # Rescale window observations to grid totals using the exact
         # grid-total sector count from the coalescing summary.
-        window_sector_total = sum(s.size for s in warp_sectors)
+        window_sector_total = sectors[i].size
         scale = (
             rec.summary.sectors / window_sector_total
             if window_sector_total
             else 0.0
         )
 
-        if cached_on_sm and window_lines:
+        if cached_on_sm and w_lines:
             grid_lines = rec.summary.transactions  # line lookups ~ transactions
-            hit_frac = window_l1_hits / window_lines
+            hit_frac = w_l1_hits / w_lines
             if rec.space == "texture" and gpu.texture_cache_dedicated:
                 report.tex_lookups += grid_lines
                 report.tex_hits += grid_lines * hit_frac
@@ -239,18 +279,9 @@ def resolve_traffic(
                 report.l1_lookups += grid_lines
                 report.l1_hits += grid_lines * hit_frac
 
-        # --- L2 stage ----------------------------------------------------
-        window_l2 = (
-            np.concatenate(window_l2_sectors)
-            if window_l2_sectors
-            else np.empty(0, dtype=np.int64)
-        )
-        l2_before_h, l2_before_a = l2.hits, l2.accesses
-        l2_before_d = l2.lines_dirtied
-        l2.access_many(window_l2, write=rec.is_store)
-        w_l2_acc = l2.accesses - l2_before_a
-        w_l2_hit = l2.hits - l2_before_h
-        w_dirtied = l2.lines_dirtied - l2_before_d
+        w_l2_acc = l2_acc[i]
+        w_l2_hit = l2_hits[i]
+        w_dirtied = l2_dirt[i]
         grid_l2 = w_l2_acc * scale
         grid_l2_hits = w_l2_hit * scale
 
@@ -276,7 +307,7 @@ def resolve_traffic(
         if not rec.is_store and rec.summary.n_warps:
             n = rec.summary.n_warps
             l1_frac = (
-                window_l1_hits / window_lines if cached_on_sm and window_lines else 0.0
+                w_l1_hits / w_lines if cached_on_sm and w_lines else 0.0
             )
             l2_frac = (1.0 - l1_frac) * (w_l2_hit / w_l2_acc if w_l2_acc else 0.0)
             dram_frac = max(1.0 - l1_frac - l2_frac, 0.0)

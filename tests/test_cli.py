@@ -338,6 +338,51 @@ class TestSchedulerFlags:
             main(["sweep", "BankRedux", "--jobs", "2"])
 
 
+@pytest.fixture
+def fresh_jit_store(monkeypatch):
+    """No ``REPRO_JIT_CACHE_DIR``, and a store re-resolved before and after."""
+    from repro.jit import reset_jit_store
+
+    monkeypatch.delenv("REPRO_JIT_CACHE_DIR", raising=False)
+    reset_jit_store()
+    yield
+    reset_jit_store()
+
+
+@pytest.mark.usefixtures("isolated_cwd", "fresh_jit_store")
+class TestJitStoreFollowsCacheFlags:
+    """The JIT artifact store lives under ``--cache-dir``, and ``--no-cache``
+    turns its disk tier off, unless ``REPRO_JIT_CACHE_DIR`` says otherwise."""
+
+    ARGV = ["sweep", "MemAlign", "--values", "8192", "--backend", "jit", "--no-journal"]
+
+    def jit_stats(self, argv, tmp_path, capsys):
+        import json
+
+        stats = tmp_path / "stats.json"
+        assert main(self.ARGV + argv + ["--stats", str(stats)]) == 0
+        capsys.readouterr()
+        return json.loads(stats.read_text())["jit"]
+
+    def test_cache_dir(self, tmp_path, capsys):
+        jit = self.jit_stats(["--cache-dir", str(tmp_path / "X")], tmp_path, capsys)
+        assert jit["dir"] == str(tmp_path / "X" / "jit")
+        assert jit["persistent"] and jit["stores"] > 0
+        assert any((tmp_path / "X" / "jit").rglob("*.json"))
+        assert not (tmp_path / ".repro-cache").exists()
+
+    def test_no_cache(self, tmp_path, capsys):
+        jit = self.jit_stats(["--no-cache"], tmp_path, capsys)
+        assert jit["dir"] == "off" and not jit["persistent"]
+        assert not (tmp_path / ".repro-cache").exists()
+
+    def test_environment_wins(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "E"))
+        jit = self.jit_stats(["--cache-dir", str(tmp_path / "X")], tmp_path, capsys)
+        assert jit["dir"] == str(tmp_path / "E")
+        assert not (tmp_path / "X" / "jit").exists()
+
+
 @pytest.mark.usefixtures("isolated_cwd")
 class TestSerialScheduling:
     """``--jobs 1`` runs go through the scheduler, so every flag holds."""
