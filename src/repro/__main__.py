@@ -1103,6 +1103,8 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
             "see 'repro journal ls'"
         )
     filtering = bool(args.trace or args.span)
+    # torn or garbage journal lines the readers skipped, if any
+    skipped = f" skipped={entry['skipped']}" if entry["skipped"] else ""
 
     def matches(meta: dict[str, Any]) -> bool:
         if args.trace and not str(
@@ -1137,6 +1139,7 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         print(
             f"run {args.run_id}: command={header.get('command', '-')} "
             f"jobs={len(entries)} trace={trace_id_for_run(args.run_id)}"
+            f"{skipped}"
         )
         shown = 0
         for e in entries:
@@ -1159,7 +1162,7 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
     total = len(manifest.get("jobs", []))
     print(
         f"fleet run {args.run_id}: command={manifest.get('command', '-')} "
-        f"jobs={total} trace={trace_id_for_run(args.run_id)}"
+        f"jobs={total} trace={trace_id_for_run(args.run_id)}{skipped}"
     )
     resolved: set[str] = set()
     shown = scanned = 0

@@ -10,6 +10,9 @@ Two tiers, both keyed by the launch's trace key:
   writes, payload checksums, quarantine of torn entries), so a second
   *process* — a fresh CLI run, a pool worker, a fleet worker on the
   same directory — skips tracing too and only pays one ``compile()``.
+  Disk keys fold in :func:`~repro.sched.cache.model_fingerprint`, so an
+  artifact traced by an edited analyzer or code generator is never
+  replayed.
 
 Poisoned keys (launches whose replay guards failed: data-dependent
 addressing) are remembered in both tiers so every later launch with
@@ -26,13 +29,14 @@ sidecar.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 from typing import Any
 
 from repro.common.errors import ReproError
 from repro.jit.codegen import JitArtifact, compile_artifact
-from repro.sched.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.sched.cache import DEFAULT_CACHE_DIR, ResultCache, model_fingerprint
 
 __all__ = [
     "JIT_SCHEMA",
@@ -82,7 +86,7 @@ class ArtifactStore:
             self.memo_hits += 1
             return art
         if self._disk is not None:
-            payload = self._disk.get(key)
+            payload = self._disk.get(_disk_key(key))
             if payload is not None and payload.get("schema") == JIT_SCHEMA:
                 if payload.get("poisoned"):
                     self._poisoned.add(key)
@@ -138,7 +142,7 @@ class ArtifactStore:
         if self._disk is None:
             return
         try:
-            self._disk.put(key, payload)
+            self._disk.put(_disk_key(key), payload)
         except ReproError:
             self._disk = None
             self.disk_errors += 1
@@ -156,6 +160,11 @@ class ArtifactStore:
             "poisoned": self.poisoned,
             "disk_errors": self.disk_errors,
         }
+
+
+def _disk_key(key: str) -> str:
+    """A trace key bound to the model source that traced it."""
+    return hashlib.sha256(f"{model_fingerprint()}:{key}".encode()).hexdigest()
 
 
 _default: ArtifactStore | None = None

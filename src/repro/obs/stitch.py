@@ -35,10 +35,10 @@ byte-identical to an uninterrupted one under the same run id.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
 
+from repro.common.durable import append_record, open_log, read_records
 from repro.common.errors import ReproError
 from repro.obs.trace import TraceContext
 from repro.prof.activity import ActivityRecord
@@ -83,15 +83,13 @@ class ActivitySink:
         sink.commit()            # after journaling the success
 
     Lines are the standard NDJSON record projection prefixed with
-    ``worker`` and ``job`` keys.  The publish is append + flush +
-    fsync, matching the journal's crash-durability.
+    ``worker`` and ``job`` keys.  A commit is one fsync'd append of the
+    job's lines, matching the journal's crash-durability.
     """
 
     def __init__(self, path: str | Path, *, worker: str) -> None:
         self.worker = worker
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = path.open("a")
+        self._fh = open_log(path)
         self._job: int | None = None
         self._buf: list[ActivityRecord] = []
 
@@ -110,12 +108,10 @@ class ActivitySink:
         """Publish the buffered records; clears the buffer."""
         if self._job is None:
             return
-        for rec in self._buf:
-            line = {"worker": self.worker, "job": self._job}
-            line.update(record_to_json(rec))
-            self._fh.write(json.dumps(line, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        append_record(self._fh, *(
+            {"worker": self.worker, "job": self._job, **record_to_json(rec)}
+            for rec in self._buf
+        ))
         self._job = None
         self._buf = []
 
@@ -134,26 +130,11 @@ def read_worker_activity(run_dir: str | Path) -> dict[str, list[dict[str, Any]]]
     Tolerates a torn tail (a worker killed mid-publish) the same way
     the journal loader does: unparsable lines are skipped.
     """
-    out: dict[str, list[dict[str, Any]]] = {}
     adir = Path(run_dir) / "activity"
-    if not adir.is_dir():
-        return out
-    for path in sorted(adir.glob("*.ndjson")):
-        lines: list[dict[str, Any]] = []
-        try:
-            text = path.read_text()
-        except OSError:
-            continue
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                lines.append(json.loads(raw))
-            except json.JSONDecodeError:
-                continue
-        out[path.stem] = lines
-    return out
+    return {
+        path.stem: read_records(path)[0]
+        for path in sorted(adir.glob("*.ndjson"))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -195,13 +176,12 @@ def _load_manifest(run_dir: Path) -> dict[str, Any]:
 
 def _scan_winners(run_dir: Path) -> dict[str, str]:
     """fingerprint -> winning worker, the merge's first-write-wins pick."""
-    from repro.resilience.journal import RunJournal
+    from repro.resilience.journal import read_journal
 
     winners: dict[str, str] = {}
     for path in sorted((run_dir / "journals").glob("*.ndjson")):
-        _, completed = RunJournal._load(path)
-        for fp in completed:
-            winners.setdefault(fp, path.stem)
+        for obj in read_journal(path)[1]:
+            winners.setdefault(obj["job"], path.stem)
     return winners
 
 
@@ -392,27 +372,16 @@ def read_journal_entries(
     stitcher render.  Duplicate fingerprints keep the first record (the
     merge's first-write-wins pick); torn lines are skipped.
     """
+    from repro.resilience.journal import read_journal
+
     journal_path = Path(journal_path)
     if not journal_path.exists():
         raise ReproError(f"no journal at {journal_path}")
-    header: dict[str, Any] = {}
-    entries: list[dict[str, Any]] = []
-    seen: set[str] = set()
-    with journal_path.open() as fh:
-        for i, raw in enumerate(fh):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if (i == 0 or "schema" in obj) and not header:
-                header = obj
-            elif "job" in obj and obj["job"] not in seen:
-                seen.add(obj["job"])
-                entries.append(obj)
-    return header, entries
+    header, jobs, _ = read_journal(journal_path)
+    first: dict[str, dict[str, Any]] = {}
+    for obj in jobs:
+        first.setdefault(obj["job"], obj)
+    return header, list(first.values())
 
 
 def journal_chrome_trace(journal_path: str | Path) -> dict[str, Any]:

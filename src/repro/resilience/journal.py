@@ -15,9 +15,10 @@ line is one completed job::
     {"schema": "repro-journal/1", "run_id": "...", "command": "sweep", ...}
     {"job": "<fingerprint>", "payload": {...}, "meta": {...}}
 
-The reader tolerates a torn final line (the process died mid-append)
-and skips unparsable lines instead of refusing the whole journal, so a
-SIGKILL'd run still resumes from its last complete checkpoint.
+The reader (:mod:`repro.common.durable`) skips a torn final line (the
+process died mid-append) and any other unparsable line instead of
+refusing the whole journal, so a SIGKILL'd run still resumes from its
+last complete checkpoint.
 
 A job's *fingerprint* hashes the same dependency closure the result
 cache keys on — benchmark sources, resolved system spec, parameters,
@@ -29,11 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import uuid
 from pathlib import Path
 from typing import Any
 
+from repro.common.durable import append_record, open_log, read_records
 from repro.common.errors import ReproError
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "list_runs",
     "gc_runs",
     "new_run_id",
+    "read_journal",
 ]
 
 JOURNAL_SCHEMA = "repro-journal/1"
@@ -80,6 +82,23 @@ def job_fingerprint(spec) -> str:
         "backend": spec.backend,
     }
     return hashlib.sha256(_canonical(material).encode()).hexdigest()
+
+
+def read_journal(
+    path: str | Path,
+) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
+    """``(header, job records, skipped lines)`` of one journal: the
+    header is the first record with ``schema``; job records keep file
+    order, duplicates included; torn or garbage lines are counted."""
+    records, skipped = read_records(path)
+    header: dict[str, Any] = {}
+    jobs: list[dict[str, Any]] = []
+    for obj in records:
+        if "schema" in obj and not header:
+            header = obj
+        elif "job" in obj:
+            jobs.append(obj)
+    return header, jobs, skipped
 
 
 class RunJournal:
@@ -126,8 +145,7 @@ class RunJournal:
             )
         journal = cls(path, run_id, meta=meta)
         try:
-            root.mkdir(parents=True, exist_ok=True)
-            journal._fh = path.open("a")
+            journal._fh = open_log(path)
         except OSError as exc:
             raise ReproError(
                 f"journal directory {root} is not writable: {exc}; "
@@ -162,8 +180,7 @@ class RunJournal:
             meta={k: v for k, v in header.items() if k not in ("schema", "run_id")},
         )
         try:
-            cls._heal_torn_tail(path)
-            journal._fh = path.open("a")
+            journal._fh = open_log(path)
         except OSError as exc:
             raise ReproError(f"journal {path} is not writable: {exc}") from None
         return journal
@@ -187,38 +204,11 @@ class RunJournal:
         return cls.create(root, run_id=run_id, meta=meta)
 
     @staticmethod
-    def _heal_torn_tail(path: Path) -> None:
-        """Terminate a torn final line so new appends start on a fresh
-        line; the loader already skips the unparsable remnant."""
-        with path.open("r+b") as fh:
-            fh.seek(0, os.SEEK_END)
-            if fh.tell() == 0:
-                return
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
-
-    @staticmethod
     def _load(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Parse a journal file, tolerating torn or garbage lines."""
-        header: dict[str, Any] = {}
-        completed: dict[str, Any] = {}
-        with path.open() as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    # torn append (crash mid-write) — skip, keep reading:
-                    # later complete lines are still valid checkpoints
-                    continue
-                if i == 0 or ("schema" in obj and not header):
-                    header = obj
-                elif "job" in obj:
-                    completed[obj["job"]] = obj.get("payload")
-        return header, completed
+        """``(header, fingerprint -> payload)``; a fingerprint recorded
+        twice keeps its last payload."""
+        header, jobs, _ = read_journal(path)
+        return header, {obj["job"]: obj.get("payload") for obj in jobs}
 
     # ------------------------------------------------------------------
     def record(
@@ -238,9 +228,7 @@ class RunJournal:
     def _append(self, obj: dict[str, Any]) -> None:
         if self._fh is None:  # pragma: no cover - defensive
             raise ReproError(f"journal {self.path} is not open for writing")
-        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        append_record(self._fh, obj)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -280,19 +268,20 @@ def list_runs(root: str | Path) -> list[dict[str, Any]]:
     Covers both plain ``<run-id>.ndjson`` journals and ``<run-id>.fleet``
     coordination directories.  Each entry carries ``run_id``, ``kind``
     (``"run"`` | ``"fleet"``), ``command``, ``jobs`` (completed count),
-    ``mtime``, and ``path``.
+    ``skipped`` (unparsable journal lines), ``mtime``, and ``path``.
     """
     root = Path(root)
     if not root.is_dir():
         return []
     out: list[dict[str, Any]] = []
     for path in root.glob("*.ndjson"):
-        header, completed = RunJournal._load(path)
+        header, jobs, skipped = read_journal(path)
         out.append({
             "run_id": path.stem,
             "kind": "run",
             "command": header.get("command", ""),
-            "jobs": len(completed),
+            "jobs": len({obj["job"] for obj in jobs}),
+            "skipped": skipped,
             "mtime": path.stat().st_mtime,
             "path": str(path),
         })
@@ -305,14 +294,17 @@ def list_runs(root: str | Path) -> list[dict[str, Any]]:
         except (OSError, json.JSONDecodeError):
             pass
         completed: set[str] = set()
+        skipped = 0
         for jf in (path / "journals").glob("*.ndjson"):
-            _, done = RunJournal._load(jf)
-            completed.update(done)
+            _, jobs, torn = read_journal(jf)
+            completed.update(obj["job"] for obj in jobs)
+            skipped += torn
         out.append({
             "run_id": path.name[: -len(".fleet")],
             "kind": "fleet",
             "command": manifest.get("command", ""),
             "jobs": len(completed),
+            "skipped": skipped,
             "total": len(manifest.get("jobs", [])) or None,
             "mtime": _dir_mtime(path),
             "path": str(path),

@@ -1,9 +1,10 @@
 """Atomic job leases for the distributed sweep fleet.
 
-A fleet worker claims a job by *creating* its lease file with
-``O_CREAT | O_EXCL`` — the one filesystem operation that is atomic on
-every POSIX filesystem, including the shared network directories a
-multi-machine fleet coordinates through.  The file body is a small
+A fleet worker claims a job by *publishing* its lease file with a hard
+link (:func:`~repro.common.durable.atomic_write`, ``exclusive``), which
+fails if the name exists — atomic on every POSIX filesystem, including
+the shared network directories a multi-machine fleet coordinates
+through — and never shows a peer half a lease.  The body is a small
 JSON document naming the owner, the lease *epoch* (how many times the
 job has been claimed), and two wall-clock timestamps::
 
@@ -15,9 +16,9 @@ file + ``os.replace``, fsync'd) with a fresh ``heartbeat_at``.  A peer
 that finds a lease whose heartbeat is older than the TTL — the owner
 was SIGKILL'd, wedged, or unplugged — *steals* it: it renames the
 stale file into ``stolen/`` (rename is atomic, so exactly one stealer
-wins) and then re-acquires through the same ``O_EXCL`` create with the
-epoch bumped.  An unreadable or torn lease file (a crash mid-write, a
-chaos-injected corruption) is treated as immediately steal-eligible:
+wins) and then re-acquires through the same linked publish with the
+epoch bumped.  An unreadable or torn lease file (chaos-injected
+corruption, bit rot) is treated as immediately steal-eligible:
 the remnant is quarantined into ``stolen/`` and the job re-claimed.
 
 None of this is load-bearing for *correctness* — job execution is
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.common.durable import atomic_write
 from repro.common.errors import ReproError
 
 __all__ = [
@@ -110,13 +112,9 @@ class LeaseDir:
     def path(self, job: str) -> Path:
         return self.root / f"{job}.lease"
 
-    def _write_body(self, fd: int, lease: Lease, *, torn: bool = False) -> None:
-        body = json.dumps(lease.as_dict(), separators=(",", ":")).encode()
-        if torn:
-            # chaos: a crash mid-write leaves half a lease on disk
-            body = body[: max(1, len(body) // 2)]
-        os.write(fd, body)
-        os.fsync(fd)
+    @staticmethod
+    def _body(lease: Lease) -> str:
+        return json.dumps(lease.as_dict(), separators=(",", ":"))
 
     # ------------------------------------------------------------------
     def acquire(
@@ -125,29 +123,28 @@ class LeaseDir:
     ) -> Lease | None:
         """Claim ``job`` for ``owner``; None when held by a live peer.
 
-        The create is ``O_EXCL``, so between two racing workers exactly
-        one returns a :class:`Lease` and the other None.
+        The publish is first-writer-wins, so between two racing workers
+        exactly one returns a :class:`Lease` and the other None.  A
+        lease already on disk costs a stat, not a write.
         """
+        if self.path(job).exists():
+            return None
         t = self.now()
         lease = Lease(
             job=job, owner=owner, epoch=epoch,
             acquired_at=t, heartbeat_at=t, stolen_from=stolen_from,
         )
+        body = self._body(lease)
+        if torn:
+            # chaos: a crash mid-write leaves half a lease on disk
+            body = body[: max(1, len(body) // 2)]
         try:
-            fd = os.open(
-                self.path(job), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-            )
-        except FileExistsError:
-            return None
+            won = atomic_write(self.path(job), body, exclusive=True)
         except OSError as exc:
             raise LeaseUnavailable(
                 f"cannot create lease for job {job[:12]}: {exc}"
             ) from None
-        try:
-            self._write_body(fd, lease, torn=torn)
-        finally:
-            os.close(fd)
-        return lease
+        return lease if won else None
 
     def read(self, job: str) -> Lease | None:
         """The current lease of ``job``; None if absent or unreadable.
@@ -239,21 +236,9 @@ class LeaseDir:
                 or current.epoch != lease.epoch:
             return False
         lease.heartbeat_at = self.now()
-        tmp = self.path(lease.job).with_suffix(
-            f".hb.{uuid.uuid4().hex[:8]}.tmp"
-        )
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            try:
-                self._write_body(fd, lease)
-            finally:
-                os.close(fd)
-            os.replace(tmp, self.path(lease.job))
+            atomic_write(self.path(lease.job), self._body(lease))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         return True
 

@@ -102,6 +102,50 @@ class TestDiskTier:
         assert store.lookup(KEY) is not None  # memo still works
 
 
+class TestModelProvenance:
+    """Disk keys cover the model source that traced an artifact."""
+
+    PROBE = (
+        "import sys\n"
+        "from repro.jit import ArtifactStore\n"
+        "store = ArtifactStore(sys.argv[1])\n"
+        "print('hit' if store.lookup(sys.argv[2]) is not None else 'miss')\n"
+    )
+
+    def _probe(self, package_root, store_dir):
+        import subprocess
+        import sys
+
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(package_root)
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(store_dir), KEY],
+            cwd=package_root, env=env, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        return out.stdout.strip()
+
+    def test_model_edit_misses(self, tmp_path):
+        import shutil
+
+        import repro
+
+        ArtifactStore(tmp_path / "jit").put(KEY, _artifact())
+        src = Path(repro.__file__).parent
+        ignore = shutil.ignore_patterns("__pycache__")
+        pristine = tmp_path / "pristine"
+        edited = tmp_path / "edited"
+        shutil.copytree(src, pristine / "repro", ignore=ignore)
+        shutil.copytree(src, edited / "repro", ignore=ignore)
+        coalesce = edited / "repro" / "mem" / "coalesce.py"
+        coalesce.write_text(coalesce.read_text() + "\n# analyzer edit\n")
+        # a byte-identical copy elsewhere still hits: keys hash content
+        assert self._probe(pristine, tmp_path / "jit") == "hit"
+        assert self._probe(edited, tmp_path / "jit") == "miss"
+
+
 class TestGlobalStore:
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "here"))

@@ -16,6 +16,7 @@ from repro.resilience import QuarantineError, RunJournal
 from repro.resilience.fleet import (
     FleetConfig,
     FleetMergeError,
+    _quarantine_job,
     ensure_manifest,
     fleet_dir,
     join_fleet,
@@ -136,6 +137,18 @@ class TestChaosFleet:
         cfg = make_cfg(tmp_path, workers=0, chaos=chaos, max_retries=1)
         with pytest.raises(QuarantineError, match="quarantined"):
             join_fleet(SPECS, cfg)
+
+
+class TestQuarantineMarker:
+    def test_first_writer_wins(self, tmp_path):
+        qdir = fleet_dir(tmp_path, "ftest") / "quarantine"
+        qdir.mkdir(parents=True)
+        fp = job_fingerprint(SPECS[0])
+        _quarantine_job(qdir.parent, fp, {"worker": "w1"})
+        _quarantine_job(qdir.parent, fp, {"worker": "w2"})
+        assert [p.name for p in qdir.iterdir()] == [f"{fp}.json"]
+        marker = json.loads((qdir / f"{fp}.json").read_text())
+        assert marker["worker"] == "w1"
 
 
 class TestMergeValidation:

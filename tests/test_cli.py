@@ -861,6 +861,30 @@ class TestJournalCLI:
         out = capsys.readouterr().out
         assert "fleet run f1" in out and "completed 1/1" in out
 
+    @pytest.mark.parametrize("fleet", [False, True], ids=["run", "fleet"])
+    def test_show_reports_skipped_lines(self, capsys, tmp_path, fleet):
+        from repro.resilience import RunJournal
+        from repro.resilience.fleet import ensure_manifest, fleet_dir
+        from repro.sched import JobSpec
+
+        root = tmp_path / "jd"
+        jdir, name = root, "r1"
+        if fleet:
+            run_dir = fleet_dir(root, "r1")
+            ensure_manifest(
+                run_dir, [JobSpec(benchmark="MemAlign")],
+                run_id="r1", command="sweep",
+            )
+            jdir, name = run_dir / "journals", "w1"
+        RunJournal.create(jdir, run_id=name, meta={"command": "sweep"}).close()
+        show = ["journal", "show", "r1", "--journal-dir", str(root)]
+        assert main(show) == 0
+        assert "skipped=" not in capsys.readouterr().out
+        with (jdir / f"{name}.ndjson").open("a") as fh:
+            fh.write('{"job": "torn')         # killed mid-append
+        assert main(show) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" skipped=1")
+
     def test_show_unknown_run_exits_two(self, capsys, tmp_path):
         assert main([
             "journal", "show", "ghost", "--journal-dir", str(tmp_path / "jd")
